@@ -31,7 +31,7 @@ chaos:
 
 # Sweep-service chaos gate: a fault-free probe-sweep reference, then one
 # sweep per scheduler fault site (hangs, exits, crashes, torn journal
-# appends, lost heartbeats, steal/hedge races, supervisor stalls) plus a
+# appends, lost heartbeats, supervisor stalls) plus a
 # combined all-sites round; fails unless every run merges bit-identical
 # to the reference and hang detection beats the pair timeout by 5x.
 # Blocking in CI; see docs/sweep.md.

@@ -25,7 +25,7 @@ Sites (the complete registry — unknown names are a :class:`ConfigError`):
     ``_sweep_worker_main`` raises :class:`WorkerCrashError` (retried).
 ``worker_exit``
     ``_sweep_worker_main`` hard-exits, killing the worker process
-    (exercises dead-worker detection and domain rebuild).
+    (exercises dead-worker detection and respawn).
 ``worker_hang``
     ``_sweep_worker_main`` sleeps for ``REPRO_HANG_SECONDS`` (default
     30) with its heartbeat suppressed (exercises liveness supervision:
@@ -64,11 +64,6 @@ Sites (the complete registry — unknown names are a :class:`ConfigError`):
     one liveness grace period before continuing (exercises that worker
     heartbeats and deadlines survive a wedged scheduler without
     spurious kills or lost work).
-``steal_race``
-    a work-steal leaves a duplicate of the stolen task on the victim's
-    deque, so two workers execute the same task (exercises
-    content-key dedup: exactly one result is kept, counters never
-    double-count).
 ``checkpoint_torn``
     a journal append writes only a prefix of the record and then dies
     (:class:`InjectedFault`), leaving a torn trailing record
@@ -76,12 +71,8 @@ Sites (the complete registry — unknown names are a :class:`ConfigError`):
     ``repro.sweep.journal``).
 ``heartbeat_loss``
     a sweep worker's heartbeat thread goes silent while the worker
-    keeps computing (exercises supervisor kill + requeue racing a
-    still-arriving result; dedup must keep exactly one).
-``hedge_race``
-    a straggler check hedges the task immediately, below the latency
-    quantile, so an original and its hedge finish close together
-    (exercises first-finisher-wins dedup on the hedging path).
+    keeps computing (exercises supervisor kill + requeue of a worker
+    that is still making progress; its result must be counted once).
 
 When no faults are configured every hook is a single global-flag check,
 so production paths pay nothing.
@@ -110,10 +101,8 @@ KNOWN_SITES = (
     "page_fault",
     "perm_fault",
     "scheduler_stall",
-    "steal_race",
     "checkpoint_torn",
     "heartbeat_loss",
-    "hedge_race",
 )
 
 #: Sites whose firing changes simulation *results*, not just control flow.
@@ -172,6 +161,14 @@ def parse_spec(spec: str) -> dict[str, FaultSpec]:
                     f"bad max_fires {fields[2]!r} for {site!r}") from None
         specs[site] = FaultSpec(site, probability, max_fires)
     return specs
+
+
+def _render(spec: FaultSpec) -> str:
+    probability = f"{spec.probability:g}"
+    if float(probability) != spec.probability:
+        probability = repr(spec.probability)    # %g keeps 6 digits only
+    text = f"{spec.site}:{probability}"
+    return text if spec.max_fires is None else f"{text}:{spec.max_fires}"
 
 
 @dataclass
@@ -273,6 +270,19 @@ def active() -> bool:
     if not _loaded:
         _load_from_env()
     return _active
+
+
+def active_spec() -> tuple[str | None, int]:
+    """The active injector as ``(spec, seed)``, ``(None, 0)`` if none.
+
+    ``spec`` is a ``REPRO_FAULTS`` string that :func:`parse_spec` turns
+    back into the same specs: what a sweep ships to its workers and
+    what a repro command puts in front of ``python -m repro``.
+    """
+    inj = injector()
+    if inj is None or not inj.specs:
+        return None, 0
+    return ",".join(_render(s) for s in inj.specs.values()), inj.seed
 
 
 def derive_seed(seed: int, tag: str) -> int:

@@ -176,8 +176,7 @@ def _check_seeds_supervised(seeds: list[int], configs,
     SweepService(
         tasks=[TaskSpec(key=f"fuzz/seed{seed}", kind="fuzz",
                         payload=dict(seed=seed,
-                                     config_names=list(configs)),
-                        shard=str(seed))
+                                     config_names=list(configs)))
                for seed in seeds],
         runner_spec={},
         report=report,

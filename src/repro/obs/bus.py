@@ -1,8 +1,8 @@
 """The sweep event bus: a crash-consistent append-only NDJSON stream.
 
 The scheduler (:mod:`repro.sweep.scheduler`) narrates every task/worker
-lifecycle transition — admitted, started, stolen, hedged, retried,
-completed, quarantined, beat-stale, killed, domain-fenced — into one
+lifecycle transition — started, retried, completed, quarantined,
+beat-stale, killed, respawned — into one
 append-only file so consumers (``python -m repro top``, the
 :class:`~repro.sweep.stream.SweepWatch` partial-results API, post-mortem
 tooling) can observe a sweep *while it runs* instead of waiting for the

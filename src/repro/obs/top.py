@@ -2,8 +2,8 @@
 
 The scheduler narrates every lifecycle transition onto the bus
 (:mod:`repro.obs.bus`); this module folds that stream into a terminal
-dashboard — per-worker state, per-shard queue depth, steal / hedge /
-fault counters, throughput and ETA — refreshed every
+dashboard — per-worker state, pending tasks, retry / kill / fault counters,
+throughput and ETA — refreshed every
 ``REPRO_TOP_INTERVAL`` seconds, plus a Prometheus-text snapshot
 (``metrics.prom``) rewritten atomically each refresh for scraping.
 
@@ -38,10 +38,9 @@ TOP_INTERVAL_ENV_VAR = "REPRO_TOP_INTERVAL"
 METRICS_FILENAME = "metrics.prom"
 
 #: Event kinds counted verbatim into ``repro_sweep_events_total``.
-COUNTED_KINDS = ("admitted", "started", "completed", "failed", "retried",
-                 "stolen", "hedged", "killed", "quarantined", "duplicate",
-                 "shelved", "beat-stale", "stalled", "serial",
-                 "domain-rebuilt", "domain-fenced")
+COUNTED_KINDS = ("started", "completed", "failed", "retried", "killed",
+                 "respawned", "quarantined", "shelved", "beat-stale",
+                 "stalled", "serial")
 
 
 class TopModel:
@@ -52,14 +51,12 @@ class TopModel:
         self.tasks = 0
         self.slots = 0
         self.done = 0
-        self.backlog = 0
+        self.pending = 0
         self.started_at: float | None = None
         self.last_t: float | None = None
         self.finished = False
         self.counts = {kind: 0 for kind in COUNTED_KINDS}
         self.workers: dict[int, dict] = {}       # slot -> state snapshot
-        self.queue_depth: dict[str, int] = {}    # shard -> queued tasks
-        self._key_shard: dict[str, str] = {}
 
     @classmethod
     def fold(cls, events) -> "TopModel":
@@ -93,22 +90,15 @@ class TopModel:
             self.run_id = event.get("run_id", "")
             self.tasks = event.get("tasks", 0)
             self.slots = event.get("slots", 0)
+            self.pending = self.tasks
             self.started_at = t
             for i in range(self.slots):
                 self._worker(i)
-        elif kind == "admitted":
-            shard = event.get("shard") or key or "?"
-            self._key_shard[key] = shard
-            self.queue_depth[shard] = self.queue_depth.get(shard, 0) + 1
-        elif kind in ("started", "hedged"):
-            shard = self._key_shard.get(key)
-            if kind == "started" and shard is not None:
-                depth = self.queue_depth.get(shard, 0)
-                self.queue_depth[shard] = max(depth - 1, 0)
+        elif kind == "started":
             worker = self._worker(slot)
             if worker is not None:
                 worker.update(state="busy", key=key, since=t)
-        elif kind in ("completed", "quarantined", "failed", "duplicate"):
+        elif kind in ("completed", "quarantined", "failed"):
             if kind in ("completed", "quarantined"):
                 self.done += 1
             worker = self._worker(slot)
@@ -118,15 +108,15 @@ class TopModel:
             worker = self._worker(slot)
             if worker is not None:
                 worker.update(state="dead", key=None, since=t)
-        elif kind == "domain-rebuilt":
-            for revived in event.get("slots") or ():
-                worker = self._worker(revived)
-                if worker is not None:
-                    worker.update(state="idle", key=None, since=t)
+        elif kind == "respawned":
+            worker = self._worker(slot)
+            if worker is not None:
+                worker.update(state="idle", key=None, since=t)
         elif kind == "tick":
-            self.backlog = event.get("backlog", self.backlog)
+            self.pending = event.get("pending", self.pending)
         elif kind == "sweep-end":
             self.finished = True
+            self.pending = 0
             self.done = max(self.done, event.get("done", 0))
 
     # -- derived --------------------------------------------------------------
@@ -167,20 +157,16 @@ class TopModel:
                     label += f" {worker['key']}"
                 cells.append(label)
             lines.append("workers  " + " | ".join(cells))
-        queued = {s: d for s, d in sorted(self.queue_depth.items()) if d}
-        queue_cells = [f"{shard} {depth}" for shard, depth in queued.items()]
-        queue_cells.append(f"backlog {self.backlog}")
-        lines.append("queues   " + " | ".join(queue_cells))
+        lines.append(f"queue    pending {self.pending}")
         counts = self.counts
         lines.append(
             "events   "
-            f"steals {counts['stolen']} | hedges {counts['hedged']}"
-            f" | retries {counts['retried']} | kills {counts['killed']}"
+            f"retries {counts['retried']} | kills {counts['killed']}"
+            f" | respawns {counts['respawned']}"
             f" | stale {counts['beat-stale']}"
             f" | quarantined {counts['quarantined']}"
-            f" | dup {counts['duplicate']} | shelved {counts['shelved']}"
-            f" | serial {counts['serial']}"
-            f" | fenced {counts['domain-fenced']}")
+            f" | shelved {counts['shelved']}"
+            f" | serial {counts['serial']}")
         if self.finished:
             lines.append("sweep complete")
         return "\n".join(lines)
@@ -194,9 +180,9 @@ class TopModel:
             "# HELP repro_sweep_done_total Tasks completed or quarantined.",
             "# TYPE repro_sweep_done_total gauge",
             f"repro_sweep_done_total {self.done}",
-            "# HELP repro_sweep_backlog Tasks waiting for admission.",
-            "# TYPE repro_sweep_backlog gauge",
-            f"repro_sweep_backlog {self.backlog}",
+            "# HELP repro_sweep_pending Tasks waiting for dispatch.",
+            "# TYPE repro_sweep_pending gauge",
+            f"repro_sweep_pending {self.pending}",
             "# HELP repro_sweep_throughput_tasks_per_second "
             "Completed tasks per observed second.",
             "# TYPE repro_sweep_throughput_tasks_per_second gauge",
@@ -214,12 +200,6 @@ class TopModel:
             n = sum(1 for w in self.workers.values()
                     if w["state"] == state)
             lines.append(f'repro_sweep_workers{{state="{state}"}} {n}')
-        lines.append("# HELP repro_sweep_queue_depth Queued tasks per "
-                     "shard.")
-        lines.append("# TYPE repro_sweep_queue_depth gauge")
-        for shard, depth in sorted(self.queue_depth.items()):
-            lines.append(f'repro_sweep_queue_depth{{shard="{shard}"}} '
-                         f"{depth}")
         return "\n".join(lines) + "\n"
 
 

@@ -2,10 +2,10 @@
 
 The design mirrors the system under test: DVM's identity mapping eagerly
 allocates and degrades to demand paging rather than failing (paper
-Section 4.3), and the harness degrades the same way — a failed worker is
-retried with backoff, a broken process pool is rebuilt for just the
-unfinished pairs, and the last tier is plain in-process serial execution,
-which has no pool to break.  The invariant throughout (DESIGN.md):
+Section 4.3), and the harness degrades the same way — a failed task is
+retried with backoff, a dead sweep worker is respawned within a bounded
+budget, and the last tier is plain in-process execution, which has no
+worker to lose.  The invariant throughout (DESIGN.md):
 retries, resume, and degradation may change *how long* a sweep takes,
 never *what it computes* — merged metrics stay bit-identical to a
 fault-free serial run.
@@ -103,14 +103,14 @@ class ResilienceReport:
     worker_crashes: int = 0          # transient worker failures observed
     pair_timeouts: int = 0           # pairs abandoned past their deadline
     hung_workers: int = 0            # workers killed on a stale heartbeat
-    pool_rebuilds: int = 0           # failure-domain worker rebuilds
-    serial_degradations: int = 0     # pairs finished by the serial tier
+    pool_rebuilds: int = 0           # dead sweep workers respawned
+    serial_degradations: int = 0     # pairs the workers gave up on,
+    #                                  finished by the in-process tier
     resumed_pairs: int = 0           # pairs replayed from a checkpoint
     quarantined: int = 0             # corrupt artifacts moved aside
     reaped_tmp: int = 0              # dead writers' tmp files removed
     torn_records: int = 0            # torn journal tails truncated on resume
     fenced_records: int = 0          # zombie-generation records dropped
-    steal_races: int = 0             # injected duplicate steals deduped
     scheduler_stalls: int = 0        # injected supervisor freezes survived
     perturbed_reruns: int = 0        # computations discarded after a
     #                                  perturbing injected fault (alloc_oom)
@@ -122,17 +122,19 @@ class ResilienceReport:
     interrupts: int = 0              # KeyboardInterrupt graceful shutdowns
     cache_hits: int = 0              # artifacts restored from the disk cache
     cache_misses: int = 0            # artifacts recomputed (cache configured)
-    steals: int = 0                  # tasks taken from another slot's deque
-    hedges: int = 0                  # straggler tasks speculatively twinned
-    duplicate_results: int = 0       # hedge/steal losers discarded by dedup
+    #: The FIFO sweep service neither steals, hedges nor runs a task
+    #: twice, so these stay 0; they remain for report consumers that
+    #: still read them.
+    steals: int = 0
+    hedges: int = 0
+    duplicate_results: int = 0
     #: Structured per-pair violation details (workload, dataset, config,
     #: va, access, kind, trace index, message) for quarantined pairs.
     violations: list = field(default_factory=list)
 
     #: Purely informational counters: they describe normal cache economics
-    #: and scheduler mechanics (stealing and hedging are business as usual
-    #: in a work-stealing sweep), not repairs, so they must not make a
-    #: clean sweep look faulted.
+    #: (and the always-0 scheduler counters above), not repairs, so they
+    #: must not make a clean sweep look faulted.
     _INFORMATIONAL = ("cache_hits", "cache_misses", "steals", "hedges",
                       "duplicate_results")
 

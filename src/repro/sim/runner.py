@@ -13,24 +13,23 @@ the paper's evaluation does:
   a :class:`~repro.sim.fastpath.PageRunBatch`.
 
 With ``cache_dir`` set the artifacts also persist across invocations:
-symbolic traces as compressed ``.npz`` (via ``SymbolicTrace.save``) and
-metrics as JSON, both under content keys covering every input that can
-change the result (profile, workload knobs, hardware scale, system
+symbolic traces as memmapped column stores (:mod:`repro.sweep.tracestore`)
+and metrics as JSON, both under content keys covering every input that
+can change the result (profile, workload knobs, hardware scale, system
 parameters and the full configuration fingerprint — never just a name).
 Every persisted artifact is integrity-protected (schema version +
 SHA-256, sidecars for binaries); corrupt or stale entries are quarantined
 as ``.corrupt`` and recomputed, and dead writers' ``.tmp`` droppings are
 reaped on startup (:mod:`repro.common.integrity`).
 
-``run_pairs(workers=N)`` fans independent (workload, dataset) pairs
-through the supervised sweep service (:mod:`repro.sweep.scheduler`):
-per-worker deques with shard-affine work stealing, heartbeat liveness
-supervision (a hung worker is killed within a couple of heartbeat
-intervals, not the full pair timeout), failure-domain isolation with
-bounded rebuilds, hedged retries for stragglers, and an in-process
-serial tier of last resort.  Completed pairs stream into a
-crash-consistent fsynced journal (:mod:`repro.sweep.journal`), so an
-interrupted sweep resumes — even past a torn trailing record or a
+``run_pairs(workers=N)`` runs independent (workload, dataset) pairs
+through the sweep service (:mod:`repro.sweep.scheduler`) for every
+worker count: a FIFO dispatcher over ``N`` supervised worker processes
+(heartbeat liveness kills, per-pair deadline, retries, a bounded respawn
+budget) with an in-process tier that runs a one-worker sweep outright
+and finishes whatever the workers gave up on.  Completed pairs stream
+into a crash-consistent fsynced journal (:mod:`repro.sweep.journal`), so
+an interrupted sweep resumes — even past a torn trailing record or a
 zombie writer.  None of this changes results: the merge iterates the
 (deduplicated) pair list in order, so the returned dict is
 bit-identical to a fault-free serial run.
@@ -40,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -50,7 +48,6 @@ import numpy as np
 
 from repro.accel.algorithms import prop_bytes_for, run_workload
 from repro.accel.graphicionado import ExecutionResult
-from repro.accel.trace import SymbolicTrace
 from repro.common import env, faults, integrity
 from repro.common.errors import (CacheIntegrityError, ConfigError, PageFault,
                                  ProtectionFault, TransientError)
@@ -73,17 +70,9 @@ from repro.sweep.tasks import TaskSpec
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 PAIR_TIMEOUT_ENV_VAR = "REPRO_PAIR_TIMEOUT"
-#: Zero-copy trace sharing (memmapped column store); on by default.
-MEMMAP_ENV_VAR = "REPRO_SWEEP_MEMMAP"
 
 #: Artifact kind tag for metrics envelopes.
 METRICS_KIND = "metrics"
-
-
-def memmap_enabled() -> bool:
-    """Whether the memmapped trace tier is enabled (default: yes)."""
-    value = env.raw(MEMMAP_ENV_VAR)
-    return True if value is None else env.truthy_str(value)
 
 
 def workers_from_env() -> int:
@@ -92,7 +81,7 @@ def workers_from_env() -> int:
     try:
         workers = int(raw)
     except ValueError:
-        raise SystemExit(
+        raise ConfigError(
             f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
     return max(workers, 1)
 
@@ -105,8 +94,8 @@ def pair_timeout_from_env() -> float | None:
     try:
         timeout = float(raw)
     except ValueError:
-        raise SystemExit(f"{PAIR_TIMEOUT_ENV_VAR} must be a number, "
-                         f"got {raw!r}") from None
+        raise ConfigError(f"{PAIR_TIMEOUT_ENV_VAR} must be a number, "
+                          f"got {raw!r}") from None
     return timeout if timeout > 0 else None
 
 
@@ -140,7 +129,7 @@ class ExperimentRunner:
     cache_dir: str | None = None         # on-disk artifact cache root
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     pair_timeout: float | None = None    # wall-clock budget per pair
-    max_pool_rebuilds: int = 2           # BrokenProcessPool recoveries
+    max_pool_rebuilds: int = 2           # sweep worker respawn budget
     max_perturbed_reruns: int = 16       # injected-perturbation discards
     resilience: ResilienceReport = field(default_factory=ResilienceReport,
                                          init=False)
@@ -150,9 +139,6 @@ class ExperimentRunner:
     _batch_pair: tuple | None = field(default=None, init=False)
     _cache: ShardedCache | None = field(default=None, init=False)
     _cache_swept: bool = field(default=False, init=False)
-    #: The running SweepService during a parallel tier, for the live
-    #: heartbeat's queue-depth/steal/hedge columns; None while serial.
-    _active_service: object = field(default=None, init=False)
 
     #: Backoff sleep; class-level so tests can stub it without touching
     #: the picklable constructor spec.
@@ -212,13 +198,7 @@ class ExperimentRunner:
         return self._cache.path(kind, key, suffix)
 
     def _trace_path(self, workload: str, dataset: str) -> Path | None:
-        key = self._content_key(self._workload_content(workload, dataset))
-        return self._artifact_path("trace", key, ".npz")
-
-    def _memmap_path(self, workload: str, dataset: str) -> Path | None:
         """The memmapped column-store directory for a pair's trace."""
-        if not memmap_enabled():
-            return None
         key = self._content_key(self._workload_content(workload, dataset))
         return self._artifact_path("trace", key, ".mm")
 
@@ -240,10 +220,11 @@ class ExperimentRunner:
         """Build the dataset surrogate and run the accelerator functionally.
 
         With a cache directory configured, the symbolic trace round-trips
-        through disk: a prior invocation's functional run is reused and
-        only the (cheap, deterministic) graph surrogate is rebuilt.  A
-        trace that fails checksum/schema validation is quarantined and
-        regenerated.
+        through the memmapped column store (:mod:`repro.sweep.tracestore`):
+        a prior invocation's functional run is mapped read-only — every
+        sweep worker shares the same file-backed pages — and only the
+        (cheap, deterministic) graph surrogate is rebuilt.  A store that
+        fails checksum/schema validation is quarantined and regenerated.
         """
         key = (workload, dataset)
         prepared = self._prepared.get(key)
@@ -251,29 +232,13 @@ class ExperimentRunner:
             return prepared
         graph, shape = datasets.load(dataset, self.profile)
         trace_path = self._trace_path(workload, dataset)
-        mm_path = self._memmap_path(workload, dataset)
         result = None
-        # Tier 1: the memmapped column store — zero-copy across pool
-        # workers (every process maps the same file-backed, read-only
-        # pages instead of inflating a private npz copy).
-        if mm_path is not None and tracestore.is_published(mm_path):
+        if trace_path is not None and tracestore.is_published(trace_path):
             try:
-                trace = tracestore.open_trace(mm_path)
-                result = ExecutionResult(
-                    trace=trace, prop=np.empty(0), iterations=0,
-                    converged=True, aux={"restored_from": str(mm_path)})
-            except CacheIntegrityError:
-                self._quarantine(mm_path)
-        # Tier 2: the archival compressed npz.
-        if result is None and trace_path is not None and trace_path.exists():
-            try:
-                trace = SymbolicTrace.load(trace_path, verify=True)
+                trace = tracestore.open_trace(trace_path)
                 result = ExecutionResult(
                     trace=trace, prop=np.empty(0), iterations=0,
                     converged=True, aux={"restored_from": str(trace_path)})
-                if mm_path is not None:
-                    # Promote so the next worker maps instead of copies.
-                    tracestore.publish(mm_path, trace)
             except CacheIntegrityError:
                 self._quarantine(trace_path)
         if result is not None:
@@ -294,14 +259,7 @@ class ExperimentRunner:
                     cf_passes=self.cf_passes,
                 )
             if trace_path is not None:
-                tmp = integrity.tmp_path(trace_path, suffix=".npz")
-                result.trace.save(tmp)
-                # Sidecar first (hashing the tmp bytes), then the atomic
-                # publish: readers never see a trace without its sidecar.
-                integrity.write_sidecar(trace_path, content_of=tmp)
-                os.replace(tmp, trace_path)
-            if mm_path is not None:
-                tracestore.publish(mm_path, result.trace)
+                tracestore.publish(trace_path, result.trace)
         prepared = PreparedWorkload(workload=workload, dataset=dataset,
                                     graph=graph, shape=shape, result=result)
         self._prepared[key] = prepared
@@ -425,10 +383,13 @@ class ExperimentRunner:
         duplicate pairs are collapsed (first occurrence wins) and unknown
         configuration names raise :class:`ConfigError` up front.
 
-        ``workers > 1`` fans whole pairs across a process pool (a pair is
-        the natural unit: its configurations share the functional trace)
-        with per-pair retry, pool rebuild, and serial degradation as
-        described in :mod:`repro.sim.resilience`.  With a cache directory
+        Every worker count runs through the sweep service
+        (:class:`~repro.sweep.scheduler.SweepService`).  ``workers > 1``
+        hands whole pairs, in order, to supervised worker processes (a
+        pair is the natural unit: its configurations share the
+        functional trace) with per-pair retry, worker respawn, and
+        in-process degradation; ``workers=1`` runs every pair in this
+        process, through the same in-memory memo.  With a cache directory
         (or an explicit ``checkpoint`` path) each completed pair is
         journaled, so an interrupted sweep resumes from the checkpoint;
         ``resume=False`` disables the journal.  However executed, the
@@ -440,7 +401,7 @@ class ExperimentRunner:
         ``PageFault``/``ProtectionFault`` raise) is quarantined: its
         violation is recorded in :attr:`resilience` and the pair is
         excluded from the merged result — no bare exception escapes.  A
-        ``KeyboardInterrupt`` shuts worker pools down cleanly (workers
+        ``KeyboardInterrupt`` shuts the workers down cleanly (workers
         terminated, journal already flushed) so the sweep resumes.
         """
         raw = pairs if pairs is not None else datasets.WORKLOAD_PAIRS
@@ -495,7 +456,6 @@ class ExperimentRunner:
                     self.resilience.fenced_records += 1
                     ckpt = None
             if heartbeat is not None:
-                service = self._active_service
                 heartbeat.update(
                     len(completed),
                     cache_hits=self.resilience.cache_hits,
@@ -504,36 +464,47 @@ class ExperimentRunner:
                     faults=sum(m.get("faults", 0)
                                for done in completed.values()
                                for _name, m in done),
-                    queue_depth=(service.queue_depth()
-                                 if service is not None else None),
-                    steals=(self.resilience.steals
-                            if service is not None else None),
-                    hedges=(self.resilience.hedges
-                            if service is not None else None))
+                    queue_depth=service.queue_depth())
             faults.maybe_raise("sweep_abort")
 
         pending = [pair for pair in pairs if pair not in completed]
+        by_key = {SweepCheckpoint.pair_key(*pair): pair for pair in pending}
+        service = SweepService(
+            tasks=[TaskSpec(key=key, kind="pair",
+                            payload=dict(workload=pair[0], dataset=pair[1],
+                                         config_names=names))
+                   for key, pair in by_key.items()],
+            runner_spec=self._spec(),
+            report=self.resilience,
+            on_done=lambda task, entries: finish_pair(by_key[task.key],
+                                                      entries),
+            serial_fn=lambda task: self._run_pair_resilient(
+                by_key[task.key], configs),
+            on_violation=lambda task, exc: self._quarantine_pair(
+                by_key[task.key], exc),
+            absorb=self._absorb_worker_payload,
+            workers=workers,
+            retry=self.retry,
+            pair_timeout=self.pair_timeout,
+            max_pool_rebuilds=self.max_pool_rebuilds,
+            sleep=self._sleep,
+        )
         try:
             with obs_trace.span("sweep", cat="sweep", run_id=run_id,
                                 pairs=len(pairs), pending=len(pending),
                                 workers=workers):
-                if workers > 1 and len(pending) > 1:
-                    self._run_pairs_parallel(pending, names, workers,
-                                             finish_pair)
-                else:
-                    for pair in pending:
-                        try:
-                            finish_pair(
-                                pair,
-                                self._run_pair_resilient(pair, configs))
-                        except (PageFault, ProtectionFault) as exc:
-                            self._quarantine_pair(pair, exc)
+                service.run()
         except KeyboardInterrupt:
             # Graceful shutdown: every completed pair is already journaled
             # (finish_pair records atomically), so re-running this sweep
             # resumes from the checkpoint instead of starting over.
             self.resilience.interrupts += 1
             raise
+        finally:
+            # finish_pair reads the service's queue depth and the service
+            # holds finish_pair: break that cycle so this runner's traces
+            # and batches are freed by refcount, not at the next full GC.
+            service = None
 
         out: dict[tuple[str, str, str], Metrics] = {}
         for workload, dataset in pairs:
@@ -561,14 +532,10 @@ class ExperimentRunner:
         from a fresh shell, not just the pair id.
         """
         parts = ["PYTHONPATH=src"]
-        inj = faults.injector()
-        if inj is not None and inj.specs:
-            spec = ",".join(
-                f"{s.site}:{s.probability:g}"
-                + (f":{s.max_fires}" if s.max_fires is not None else "")
-                for s in inj.specs.values())
+        spec, seed = faults.active_spec()
+        if spec is not None:
             parts.append(f"{faults.FAULTS_ENV_VAR}={spec}")
-            parts.append(f"{faults.FAULTS_SEED_ENV_VAR}={inj.seed}")
+            parts.append(f"{faults.FAULTS_SEED_ENV_VAR}={seed}")
         if self.engine:
             parts.append(f"REPRO_TIMING_ENGINE={self.engine}")
         parts.append(f"python -m repro pair {workload}/{dataset}")
@@ -630,7 +597,7 @@ class ExperimentRunner:
                           sleep=self._sleep, on_retry=on_retry)
 
     def _absorb_worker_payload(self, payload) -> list:
-        """Unpack one pool worker's result, folding its observations in.
+        """Unpack one sweep worker's result, folding its observations in.
 
         Workers return ``{"entries", "report", "obs"}``: the pair's
         journal entries, the worker-side resilience counters (cache
@@ -676,53 +643,6 @@ class ExperimentRunner:
             if path is None:
                 return None
         return SweepCheckpoint(path, sweep_key=key)
-
-    # -- parallel tier (the supervised sweep service) -------------------------
-
-    def _run_pairs_parallel(self, pending, names, workers,
-                            finish_pair) -> None:
-        """Fan pending pairs through the supervised sweep service.
-
-        The service (:class:`~repro.sweep.scheduler.SweepService`) owns
-        scheduling — per-worker deques, shard-affine stealing, heartbeat
-        liveness kills, failure-domain rebuilds, hedged retries — and
-        this runner supplies the policy surface: journaling completions
-        (``finish_pair``), serial-tier execution, quarantine, and
-        payload absorption.  Pairs are sharded by dataset so the workers
-        that share a dataset's memmapped trace keep it page-cache warm.
-        """
-        key_to_pair = {SweepCheckpoint.pair_key(*pair): pair
-                       for pair in pending}
-        tasks = [TaskSpec(key=SweepCheckpoint.pair_key(*pair), kind="pair",
-                          payload=dict(workload=pair[0], dataset=pair[1],
-                                       config_names=list(names)),
-                          shard=pair[1])
-                 for pair in pending]
-        configs = self.configs()
-        selected = {name: configs[name] for name in names}
-        service = SweepService(
-            tasks=tasks,
-            runner_spec=self._spec(),
-            report=self.resilience,
-            on_done=lambda task, entries: finish_pair(
-                key_to_pair[task.key], entries),
-            serial_fn=lambda task: self._run_pair_resilient(
-                key_to_pair[task.key], selected),
-            on_violation=lambda task, exc: self._quarantine_pair(
-                key_to_pair[task.key], exc),
-            absorb=self._absorb_worker_payload,
-            workers=workers,
-            retry=self.retry,
-            pair_timeout=self.pair_timeout,
-            max_pool_rebuilds=self.max_pool_rebuilds,
-            sleep=self._sleep,
-        )
-        self._active_service = service
-        try:
-            service.run()
-        finally:
-            self._active_service = None
-
 
     # -- generated scenarios (repro/gen) --------------------------------------
 

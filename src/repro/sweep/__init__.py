@@ -1,11 +1,12 @@
-"""The supervised sweep service (ROADMAP item 5).
+"""The supervised sweep service.
 
-One scheduler for every experiment matrix the repo runs — figure pairs,
-the fault-model ablation, nightly fuzz seed shards, chaos probes — with
-work stealing, heartbeat liveness supervision, failure-domain isolation,
-hedged retries, a crash-consistent fsynced journal, a sharded
-content-addressed cache and zero-copy (memmap) trace sharing.  See
-``docs/sweep.md`` for the architecture and recovery semantics.
+One execution path for every experiment matrix the repo runs — figure
+pairs at any worker count, the fault-model ablation, nightly fuzz seed
+shards, chaos probes: a FIFO dispatcher over heartbeat-supervised worker
+processes with retries, a bounded respawn budget and an in-process tier,
+plus a crash-consistent fsynced journal, a sharded content-addressed
+cache and the memmapped trace store.  See ``docs/sweep.md`` for the
+architecture and recovery semantics.
 
 Submodules (imported directly to keep import-time dependencies narrow —
 ``journal`` is imported by :mod:`repro.sim.resilience`, so this package
@@ -14,7 +15,7 @@ direction):
 
 * :mod:`repro.sweep.journal` — fenced append-only checkpoint journal
 * :mod:`repro.sweep.cache` — sharded content-addressed artifact layout
-* :mod:`repro.sweep.tracestore` — memmapped symbolic-trace publication
+* :mod:`repro.sweep.tracestore` — the memmapped symbolic-trace store
 * :mod:`repro.sweep.tasks` — task model, executors, worker entry
 * :mod:`repro.sweep.scheduler` — the supervisor (:class:`SweepService`)
 * :mod:`repro.sweep.cli` — ``python -m repro sweep``

@@ -20,7 +20,7 @@ duplicated, or double-counted task changes the merged digest.
 ``--chaos-smoke`` is the CI gate: it computes a fault-free serial
 reference for a probe sweep, then re-runs the sweep once per scheduler
 fault site — worker hangs, exits, crashes, torn checkpoint appends,
-lost heartbeats, steal and hedge races, supervisor stalls — and fails
+lost heartbeats, supervisor stalls — and fails
 unless every run's merged output is bit-identical to the reference and
 hang detection beat the pair timeout by a wide margin.
 """
@@ -53,16 +53,13 @@ CHAOS_SITES = (
     ("worker_exit", "worker_exit:0.02:2", {}),
     ("worker_crash", "worker_crash:0.05:4", {}),
     ("scheduler_stall", "scheduler_stall:0.01:2", {}),
-    ("steal_race", "steal_race:0.5:4", {}),
     ("checkpoint_torn", "checkpoint_torn:0.05:1", {}),
     ("heartbeat_loss", "heartbeat_loss:0.1:3",
      {"count": SLOW_COUNT, "spin": SLOW_SPIN}),
-    ("hedge_race", "hedge_race:0.05:3", {}),
     # The acceptance gate: every scheduler fault site live in ONE sweep.
     ("all-sites", "worker_hang:0.01:1,worker_exit:0.01:1,"
                   "worker_crash:0.03:2,scheduler_stall:0.01:1,"
-                  "steal_race:0.2:2,checkpoint_torn:0.03:1,"
-                  "heartbeat_loss:0.05:2,hedge_race:0.03:2",
+                  "checkpoint_torn:0.03:1,heartbeat_loss:0.05:2",
      {"count": SLOW_COUNT, "spin": SLOW_SPIN}),
 )
 
@@ -81,7 +78,7 @@ def run_probe_sweep(count: int, workers: int, *, spin: int = 200,
 
     Returns ``(results, service)`` where ``results`` maps seed to the
     probe's deterministic value and ``service`` exposes the scheduler's
-    internals (``detection_latencies``, ``durations``) for tests.  With
+    internals (``detection_latencies``) for tests.  With
     ``journal_path`` set, completions stream into a crash-consistent
     :class:`~repro.sweep.journal.SweepJournal` and a re-run resumes from
     it — the exact ``run_pairs`` checkpoint discipline.
@@ -129,8 +126,7 @@ def run_probe_sweep(count: int, workers: int, *, spin: int = 200,
 
     service = SweepService(
         tasks=[TaskSpec(key=f"probe/{seed}", kind="probe",
-                        payload=dict(seed=seed, spin=spin),
-                        shard=str(seed % 8))
+                        payload=dict(seed=seed, spin=spin))
                for seed in range(count) if seed not in results],
         runner_spec={},
         report=report,

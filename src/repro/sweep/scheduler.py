@@ -1,18 +1,12 @@
-"""The supervised sweep service: work stealing under a liveness supervisor.
+"""The supervised sweep service: a FIFO dispatcher under a liveness supervisor.
 
-This replaces the PR-2 process-*pool* tiers in ``sim/runner.py`` with a
-scheduler the parent fully owns.  A ``ProcessPoolExecutor`` cannot kill
-a wedged worker (the only lever is abandoning the future and waiting out
-the pair timeout), shares one task/result queue a dying worker can
-corrupt for everyone, and rebuilds the *whole* pool when one process
-breaks.  At 10k-pair scale those three costs dominate; the service fixes
-each structurally:
+Every experiment matrix the repo runs goes through :class:`SweepService`,
+whatever the worker count.  The parent owns the whole schedule:
 
-**Per-worker deques + stealing.**  Every worker slot has a parent-side
-deque; tasks are assigned by shard affinity (same shard → same slot, so
-memmapped traces and graph surrogates stay warm) and an idle worker
-steals from the *tail* of the longest deque — locality for the owner,
-cold tasks for the thief.
+**FIFO dispatch.**  ``N`` worker slots, each a long-lived process with a
+private task/result queue pair, run one task at a time; an idle slot
+takes the next pending task in submission order.  Killing a worker
+mid-``put`` can corrupt only queues that die with it.
 
 **Liveness supervision.**  Workers beat a timestamp into a shared slot
 array (:class:`repro.obs.progress.Pulse`); the supervisor declares a
@@ -21,34 +15,24 @@ and SIGKILLs it immediately — detection in a couple of heartbeat
 intervals (sub-second by default), not the full ``REPRO_PAIR_TIMEOUT``.
 Until a worker's *first* beat lands the supervisor applies the longer
 ``REPRO_SWEEP_STARTUP_GRACE`` instead, so a slow process boot (forking
-a large parent, spawn-context reimports) is never mistaken for a hang.
-Each worker owns a private task/result queue pair, so killing it mid-\
-``put`` can corrupt only queues that die with it.
+a large parent) is never mistaken for a hang.  A task running past the
+per-pair deadline is killed the same way.
 
-**Failure domains.**  Slots are grouped into domains of
-``REPRO_SWEEP_DOMAIN``; a dead worker triggers a rebuild of *its domain
-only* (bounded by ``max_pool_rebuilds`` per domain), and a domain that
-exhausts its budget is fenced off with its queued work redistributed.
-The PR-2 ladder survives intact, one level finer: retry → steal →
-rebuild domain → in-process serial degradation (which cannot break and
-therefore always completes the sweep).
+**Retries and respawns.**  A failed or killed attempt is retried under
+the caller's :class:`~repro.sim.resilience.RetryPolicy`; a dead worker
+is respawned while the pool's ``max_pool_rebuilds`` budget lasts.  A
+task out of attempts, or left over when every worker is dead, goes to
+the in-process tier.
 
-**Hedged retries.**  A task in flight past ``1.5 x`` the
-``REPRO_SWEEP_HEDGE_QUANTILE`` completion quantile is speculatively
-re-dispatched to an idle worker; the first finisher wins and the
-loser's entire payload — entries, counters, obs events — is discarded
-by content-key dedup, so hedging (and the ``steal_race`` /
-``heartbeat_loss`` chaos duplicates) can never double-count anything.
-
-**Backpressure.**  At most ``REPRO_SWEEP_QUEUE_BOUND`` tasks are
-resident in deques + flight; the rest wait in a backlog with a
-deadline — if the scheduler cannot admit for ``REPRO_SWEEP_ADMIT_TIMEOUT``
-seconds (every domain wedged), the backlog degrades to the serial tier
-rather than waiting forever.
+**In-process tier.**  The tier of last resort runs tasks in the parent,
+in submission order, through the caller's ``serial_fn``: no processes,
+no queues, nothing left to break.  With one worker (or one task) it is
+the only tier, so a serial sweep shares this code path and counts no
+degradations.
 
 Results merge exactly as before: the caller's ``on_done`` journals each
 completion and the final merge iterates the task list in submission
-order, so however chaotic the execution, the merged output is
+order, so however the execution went, the merged output is
 bit-identical to a fault-free serial run.
 """
 
@@ -67,29 +51,14 @@ from repro.obs import bus as obs_bus
 from repro.obs import core as obs_core
 from repro.obs import trace as obs_trace
 from repro.sim.resilience import ResilienceReport, RetryPolicy
-from repro.sweep.tasks import TaskSpec, _sweep_worker_main
+from repro.sweep.tasks import _sweep_worker_main
 
 #: Environment knobs (documented in docs/configuration.md).
 HEARTBEAT_ENV_VAR = "REPRO_SWEEP_HEARTBEAT"
-HEDGE_QUANTILE_ENV_VAR = "REPRO_SWEEP_HEDGE_QUANTILE"
-DOMAIN_ENV_VAR = "REPRO_SWEEP_DOMAIN"
-QUEUE_BOUND_ENV_VAR = "REPRO_SWEEP_QUEUE_BOUND"
-ADMIT_TIMEOUT_ENV_VAR = "REPRO_SWEEP_ADMIT_TIMEOUT"
 STARTUP_GRACE_ENV_VAR = "REPRO_SWEEP_STARTUP_GRACE"
 
-#: Hedge only once a task runs this multiple past the quantile.
-HEDGE_MULTIPLIER = 1.5
-#: Completed-duration samples required before the quantile is trusted.
-HEDGE_MIN_SAMPLES = 5
 #: A worker is hung when its beat is staler than this many intervals.
 LIVENESS_GRACE_INTERVALS = 2.0
-
-
-def _stable_slot(shard: str, nslots: int) -> int:
-    """Deterministic shard → slot assignment (never builtin ``hash``,
-    which is salted per process and would scatter affinity per run)."""
-    digest = hashlib.sha256(shard.encode()).digest()
-    return int.from_bytes(digest[:4], "big") % nslots
 
 
 @dataclass
@@ -105,12 +74,7 @@ class _Worker:
     spawned: float = 0.0             # process start time (boot grace)
     deadline: float | None = None    # wall-clock budget expiry
     dead: bool = False
-    attempt: int = 0                 # dispatch seq of the in-flight task
     trace_started: float = 0.0       # dispatch time on the trace clock
-
-    @property
-    def idle(self) -> bool:
-        return not self.dead and self.busy is None
 
 
 @dataclass
@@ -120,10 +84,10 @@ class SweepService:
     The caller supplies the policy surface — what to do on completion
     (``on_done``, which typically journals and may raise, e.g. the
     ``sweep_abort`` chaos hook), how to run a task in-parent for the
-    serial tier (``serial_fn``), how to contain a deterministic guest
-    violation (``on_violation``), and how to fold a worker payload's
-    counters/observations into the sweep (``absorb``).  The service owns
-    scheduling, liveness, hedging, domains and requeueing, and reports
+    in-process tier (``serial_fn``), how to contain a deterministic
+    guest violation (``on_violation``), and how to fold a worker
+    payload's counters/observations into the sweep (``absorb``).  The
+    service owns dispatch, liveness, retries and respawns, and reports
     everything it did through the shared
     :class:`~repro.sim.resilience.ResilienceReport`.
     """
@@ -144,30 +108,22 @@ class SweepService:
     def __post_init__(self):
         self.heartbeat = max(
             env.floating(HEARTBEAT_ENV_VAR, 0.25), 0.01)
-        self.hedge_quantile = min(
-            max(env.floating(HEDGE_QUANTILE_ENV_VAR, 0.95), 0.5), 1.0)
-        self.domain_size = max(env.integer(DOMAIN_ENV_VAR, 4), 1)
-        self.queue_bound = max(env.integer(QUEUE_BOUND_ENV_VAR, 64), 1)
-        self.admit_timeout = env.floating(ADMIT_TIMEOUT_ENV_VAR, 30.0)
         self.grace = LIVENESS_GRACE_INTERVALS * self.heartbeat
         # Until a worker's *first* beat lands, the tight beat grace
-        # would race process startup: forking a large parent (or a
-        # spawn-context numpy reimport) can take far longer than
-        # 2 x heartbeat, and killing a worker that is still booting
-        # collapses the whole sweep to the serial tier for no reason.
+        # would race process startup: forking a large parent can take
+        # far longer than 2 x heartbeat, and killing a worker that is
+        # still booting collapses the sweep to the in-process tier for
+        # no reason.
         self.startup_grace = max(
             env.floating(STARTUP_GRACE_ENV_VAR, 10.0), self.grace)
         self.by_key = {task.key: task for task in self.tasks}
-        self.done: set[str] = set()      # completed, violated, or absorbed
-        self.shelved: set[str] = set()   # left for the serial tier
-        self.inflight: dict[str, set[int]] = {}
-        self.attempts: dict[str, int] = {}   # failed/killed dispatches
-        self.seq: dict[str, int] = {}        # dispatch counter (scopes)
-        self.hedged: set[str] = set()
-        self.durations: list[float] = []
+        self.pending = collections.deque(task.key for task in self.tasks)
+        self.done: set[str] = set()          # completed or violated
+        self.attempts: dict[str, int] = {}   # dispatches handed to a worker
+        self.rebuilds = 0                    # respawns spent from budget
+        self.slots: list[_Worker] = []
         self.detection_latencies: list[float] = []
         self._ctx = multiprocessing.get_context("fork")
-        self._mp_pool_rebuilds = 0
         # The streaming telemetry bus (obs/bus.py).  Content-derived
         # run id, so re-running the same task set is attributable; the
         # bus is the NULL_BUS unless observability is on, making every
@@ -176,7 +132,6 @@ class SweepService:
             "\n".join(sorted(self.by_key)).encode()).hexdigest()[:12]
         self.bus = obs_bus.sweep_bus(self.run_id)
         self._bus_on = self.bus is not obs_bus.NULL_BUS
-        self._stolen: set[str] = set()
         self._queued_at: dict[str, float] = {}
         self._tick_every = max(self.heartbeat, 0.25)
         self._last_tick = 0.0
@@ -188,28 +143,24 @@ class SweepService:
         self.bus.emit(kind, **fields)
 
     def queue_depth(self) -> int:
-        """Tasks waiting in the backlog plus the per-worker deques
-        (live consumers: the heartbeat line and ``repro top``)."""
-        backlog = len(getattr(self, "backlog", ()))
-        deques = getattr(self, "deques", None)
-        queued = sum(len(d) for d in deques) if deques else 0
-        return backlog + queued
+        """Tasks waiting for dispatch (the live heartbeat's ``q``)."""
+        return len(self.pending)
 
     # -- public entry ---------------------------------------------------------
 
     def run(self) -> None:
         """Execute every task; raises only what the caller's hooks raise
         (plus ``KeyboardInterrupt``).  On normal return every task is
-        done, violated, or finished by the serial tier."""
-        nslots = max(1, min(self.workers, len(self.tasks)))
+        done or violated."""
+        nslots = min(self.workers, len(self.tasks))
+        supervised = nslots > 1
         self._emit("sweep-begin", tasks=len(self.tasks),
-                   workers=self.workers, slots=nslots)
+                   workers=self.workers, slots=nslots if supervised else 0)
         try:
-            if nslots > 1 and len(self.tasks) > 1:
+            if supervised:
                 self._run_supervised(nslots)
-            self._run_serial_tier()
-            self._emit("sweep-end", done=len(self.done),
-                       shelved=len(self.shelved))
+            self._run_in_process(degraded=supervised)
+            self._emit("sweep-end", done=len(self.done))
         finally:
             self.bus.close()
 
@@ -222,12 +173,9 @@ class SweepService:
         # plausible value is "recent enough" for liveness).
         self.beats = self._ctx.Array("d", nslots, lock=False)
         self.slots = [_Worker(slot=i) for i in range(nslots)]
-        self.deques = [collections.deque() for _ in range(nslots)]
-        ndomains = -(-nslots // self.domain_size)
-        self.domain_rebuilds = [0] * ndomains
-        self.domain_dead = [False] * ndomains
-        self.backlog = collections.deque(self.tasks)
-        self._admit_progress = time.monotonic()
+        if obs_core.ENABLED:
+            now = obs_trace.now()
+            self._queued_at = {key: now for key in self.pending}
         for worker in self.slots:
             self._spawn(worker)
         try:
@@ -236,13 +184,6 @@ class SweepService:
             self._shutdown(graceful=False)
             raise
         self._shutdown(graceful=True)
-
-    def _domain(self, slot: int) -> int:
-        return slot // self.domain_size
-
-    def _healthy_slots(self) -> list[_Worker]:
-        return [w for w in self.slots
-                if not w.dead and not self.domain_dead[self._domain(w.slot)]]
 
     def _spawn(self, worker: _Worker) -> None:
         """(Re)start one worker slot with fresh private queues."""
@@ -255,7 +196,7 @@ class SweepService:
         # the worker's Pulse stamps its first real (nonzero) timestamp.
         self.beats[worker.slot] = 0.0
         worker.spawned = time.monotonic()
-        spec, seed = self._fault_config()
+        spec, seed = faults.active_spec()
         worker.process = self._ctx.Process(
             target=_sweep_worker_main, name=f"sweep-worker-{worker.slot}",
             args=(worker.slot, worker.task_q, worker.result_q, self.beats,
@@ -263,21 +204,9 @@ class SweepService:
             daemon=True)
         worker.process.start()
 
-    @staticmethod
-    def _fault_config() -> tuple[str | None, int]:
-        """The active fault spec as shippable (spec string, seed)."""
-        inj = faults.injector()
-        if inj is None or not inj.specs:
-            return None, 0
-        spec = ",".join(
-            f"{s.site}:{s.probability:g}"
-            + (f":{s.max_fires}" if s.max_fires is not None else "")
-            for s in inj.specs.values())
-        return spec, inj.seed
-
     def _supervise(self) -> None:
-        """The supervisor loop: admit, dispatch, drain, check liveness,
-        hedge — until no live work remains or every domain is dead."""
+        """The supervisor loop: dispatch, drain, check liveness — until
+        no work is pending or in flight, or every worker is dead."""
         tick = self.heartbeat / 2.0
         while True:
             if faults.should_fire("scheduler_stall"):
@@ -289,17 +218,16 @@ class SweepService:
                 self._emit("stalled", grace=self.grace)
                 self.sleep(self.grace)
             self._tick()
-            self._admit()
-            healthy = self._healthy_slots()
-            if not healthy:
+            live = [w for w in self.slots if not w.dead]
+            if not live:
                 break
-            for worker in healthy:
-                if worker.idle:
+            for worker in live:
+                if worker.busy is None and self.pending:
                     self._dispatch(worker)
             progressed = self._drain_results()
             self._check_liveness()
-            self._maybe_hedge()
-            if not self._live_work_remains():
+            if not self.pending and all(w.busy is None
+                                        for w in self.slots):
                 break
             if not progressed:
                 self.sleep(tick)
@@ -308,7 +236,7 @@ class SweepService:
         """Rate-limited scheduler snapshot for live dashboards.
 
         Gated on the bus being real so a production (unobserved) sweep
-        never pays the resident-count scan.
+        never pays for it.
         """
         if not self._bus_on:
             return
@@ -316,171 +244,70 @@ class SweepService:
         if now - self._last_tick < self._tick_every:
             return
         self._last_tick = now
-        self._emit("tick", resident=self._resident(),
-                   backlog=len(self.backlog), done=len(self.done),
-                   idle=sum(1 for w in self.slots if w.idle),
+        self._emit("tick", pending=len(self.pending), done=len(self.done),
+                   idle=sum(1 for w in self.slots
+                            if not w.dead and w.busy is None),
                    dead=sum(1 for w in self.slots if w.dead))
 
-    # -- admission ------------------------------------------------------------
-
-    def _resident(self) -> int:
-        queued = sum(1 for d in self.deques for key in d
-                     if key not in self.done and key not in self.shelved)
-        return queued + len([k for k, s in self.inflight.items() if s])
-
-    def _admit(self) -> None:
-        """Feed the backlog into shard-affine deques within the bound.
-
-        If the scheduler makes no admission progress for
-        ``admit_timeout`` seconds while a backlog waits (every domain
-        wedged or dead), the backlog's deadline expires and it degrades
-        to the serial tier instead of waiting forever.
-        """
-        now = time.monotonic()
-        admitted = False
-        while self.backlog and self._resident() < self.queue_bound:
-            task = self.backlog.popleft()
-            if task.key in self.done or task.key in self.shelved:
-                continue
-            self._enqueue(task.key)
-            admitted = True
-        if admitted or not self.backlog:
-            self._admit_progress = now
-        elif now - self._admit_progress > self.admit_timeout:
-            while self.backlog:
-                key = self.backlog.popleft().key
-                self.shelved.add(key)
-                self._emit("shelved", key=key, reason="admit-timeout")
-
-    def _enqueue(self, key: str, *, front: bool = False) -> None:
-        """Queue one task key on its (healthy) affinity slot's deque."""
-        healthy = self._healthy_slots()
-        if not healthy:
-            self.shelved.add(key)
-            self._emit("shelved", key=key, reason="no-healthy-domain")
-            return
-        task = self.by_key[key]
-        home = self._stable_worker(task, healthy)
-        if front:
-            self.deques[home.slot].appendleft(key)
-        else:
-            self.deques[home.slot].append(key)
-        if obs_core.ENABLED:
-            self._queued_at[key] = obs_trace.now()
-        self._emit("admitted", key=key, slot=home.slot,
-                   shard=task.shard or task.key)
-
-    def _stable_worker(self, task: TaskSpec, healthy: list) -> _Worker:
-        index = _stable_slot(task.shard or task.key, len(healthy))
-        return healthy[index]
-
-    # -- dispatch and stealing ------------------------------------------------
-
     def _dispatch(self, worker: _Worker) -> None:
-        key = self._next_key(worker)
-        if key is None:
-            return
+        """Hand the oldest pending task to an idle worker."""
+        key = self.pending.popleft()
         task = self.by_key[key]
-        self.seq[key] = self.seq.get(key, 0) + 1
-        attempt = self.seq[key]
+        attempt = self.attempts.get(key, 0) + 1
         try:
             worker.task_q.put((key, task.kind, task.payload, attempt),
                               timeout=self.heartbeat)
         except (queue_mod.Full, ValueError, OSError):
             # Slot's queue is wedged or torn down: treat as a dead
-            # worker; the task goes back to a healthy domain.
-            self._enqueue(key, front=True)
+            # worker; the task keeps its place at the head of the queue.
+            self.pending.appendleft(key)
             self._worker_died(worker, hung=True)
             return
+        self.attempts[key] = attempt
         worker.busy = key
         worker.started = time.monotonic()
         worker.deadline = (worker.started + self.pair_timeout
                            if self.pair_timeout is not None else None)
-        worker.attempt = attempt
         worker.trace_started = obs_trace.now() if obs_core.ENABLED else 0.0
-        self.inflight.setdefault(key, set()).add(worker.slot)
-        self._emit("started", key=key, slot=worker.slot, attempt=attempt,
-                   stolen=key in self._stolen)
-        self._stolen.discard(key)
+        self._emit("started", key=key, slot=worker.slot, attempt=attempt)
 
-    def _next_key(self, worker: _Worker) -> str | None:
-        """The worker's next task: own deque first, then steal."""
-        own = self.deques[worker.slot]
-        while own:
-            key = own.popleft()
-            if key not in self.done and key not in self.shelved:
-                return key
-        victim = max((d for i, d in enumerate(self.deques)
-                      if i != worker.slot), key=len, default=None)
-        while victim:
-            key = victim.pop()          # steal cold end, keep owner's warm
-            if key in self.done or key in self.shelved:
-                continue
-            self.report.steals += 1
-            self._stolen.add(key)
-            self._emit("stolen", key=key, slot=worker.slot)
-            obs_trace.instant("steal", cat="sched", key=key,
-                              slot=worker.slot)
-            if faults.should_fire("steal_race"):
-                # Chaos: the steal "raced" and left a duplicate behind —
-                # two workers will run this task; completion-side dedup
-                # must keep exactly one result.
-                victim.append(key)
-                self.report.steal_races += 1
-            return key
-        return None
+    def _requeue(self, key: str, *, front: bool) -> None:
+        """Put a task back on the pending queue for another attempt."""
+        if front:
+            self.pending.appendleft(key)
+        else:
+            self.pending.append(key)
+        if obs_core.ENABLED:
+            self._queued_at[key] = obs_trace.now()
 
     # -- results --------------------------------------------------------------
 
     def _drain_results(self) -> bool:
         progressed = False
-        for worker in list(self.slots):
+        for worker in self.slots:
             if worker.dead or worker.result_q is None:
                 continue
             while True:
                 try:
                     payload = worker.result_q.get_nowait()
-                except queue_mod.Empty:
-                    break
-                except (EOFError, OSError):
+                except (queue_mod.Empty, EOFError, OSError):
                     break
                 progressed = True
                 self._complete(worker, payload)
-                # Hedge checks are event-driven, not just polled: a
-                # completion is exactly when a twin slot frees up while
-                # another worker may still be mid-straggle.  Checking
-                # here closes the race where the supervisor sleeps
-                # through near-simultaneous finishes and never observes
-                # the busy/idle split the hedge needs.
-                self._maybe_hedge()
         return progressed
 
     def _complete(self, worker: _Worker, payload: dict) -> None:
-        key = payload.get("key")
-        if worker.busy == key:
-            duration = time.monotonic() - worker.started
-            worker.busy = None
-            worker.deadline = None
-        else:
-            duration = None
-        holders = self.inflight.get(key)
-        if holders is not None:
-            holders.discard(worker.slot)
-        if key in self.done:
-            # A hedge loser, a steal-race duplicate, or a requeued task
-            # whose "hung" original finished after all: discard the
-            # payload *wholesale* — entries, counters, and obs events —
-            # so nothing is ever double-counted.
-            self.report.duplicate_results += 1
-            self._emit("duplicate", key=key, slot=worker.slot)
-            return
+        key = payload["key"]
+        duration = time.monotonic() - worker.started
+        worker.busy = None
+        worker.deadline = None
+        task = self.by_key[key]
         error = payload.get("error")
         if isinstance(error, (PageFault, ProtectionFault)):
             self.done.add(key)
-            self.attempts.pop(key, None)
             self._emit("quarantined", key=key, slot=worker.slot,
                        error=type(error).__name__)
-            self.on_violation(self.by_key[key], error)
+            self.on_violation(task, error)
             return
         if error is not None:
             self._emit("failed", key=key, slot=worker.slot,
@@ -488,20 +315,16 @@ class SweepService:
             self._task_failed(key, transient=isinstance(error,
                                                         TransientError))
             return
-        if duration is not None:
-            self.durations.append(duration)
         self.done.add(key)
-        self.hedged.discard(key)
         if obs_core.ENABLED:
-            self._stitch(worker, key, payload.get("attempt"), duration)
+            self._stitch(worker, key, payload.get("attempt"))
         entries = self.absorb(payload)
         self._emit("completed", key=key, slot=worker.slot,
                    attempt=payload.get("attempt"),
-                   duration=round(duration, 4) if duration else None)
-        self.on_done(self.by_key[key], entries)
+                   duration=round(duration, 4))
+        self.on_done(task, entries)
 
-    def _stitch(self, worker: _Worker, key: str, attempt,
-                duration: float | None) -> None:
+    def _stitch(self, worker: _Worker, key: str, attempt) -> None:
         """Emit the scheduler-side half of the stitched cross-worker
         trace: queue-time and dispatch spans on the parent track, plus
         the flow *start* whose matching finish the worker recorded
@@ -511,8 +334,6 @@ class SweepService:
         end = obs_trace.now()
         queued_at = self._queued_at.pop(key, None)
         started = worker.trace_started
-        if not started or duration is None:
-            return      # completion raced a kill/requeue; no clean span
         if queued_at is not None and queued_at <= started:
             obs_trace.complete("task-queued", "sched", queued_at, started,
                                key=key, slot=worker.slot)
@@ -522,15 +343,11 @@ class SweepService:
                        obs_trace.flow_id(f"{key}#a{attempt}"), ts=started)
 
     def _task_failed(self, key: str, *, transient: bool) -> None:
-        """One attempt failed; retry with backoff or shelve for serial."""
+        """One attempt failed; retry with backoff or leave it for the
+        in-process tier."""
         if transient:
             self.report.worker_crashes += 1
-        if key in self.done or key in self.shelved:
-            return
-        if self.inflight.get(key):
-            return      # a hedge twin is still running; let it decide
-        attempt = self.attempts.get(key, 0) + 1
-        self.attempts[key] = attempt
+        attempt = self.attempts[key]
         if attempt < self.retry.max_attempts:
             if transient:
                 self.report.retries += 1
@@ -538,22 +355,22 @@ class SweepService:
                 if delay > 0:
                     self.sleep(delay)
             self._emit("retried", key=key, attempt=attempt)
-            self._enqueue(key)
+            self._requeue(key, front=False)
         else:
-            self.shelved.add(key)
             self._emit("shelved", key=key, reason="retries-exhausted")
 
-    # -- liveness and domains -------------------------------------------------
+    # -- liveness and respawn -------------------------------------------------
 
     def _check_liveness(self) -> None:
         """Kill workers whose heartbeat went stale or deadline passed.
 
         A stale beat means the *process* is wedged (or its telemetry
         died — indistinguishable from outside, and treated the same:
-        kill and requeue, dedup protects against the race where the
-        work actually finishes).  Detection latency is bounded by the
-        grace period plus one poll tick — a couple of heartbeat
-        intervals — independent of the much larger pair timeout.
+        kill and requeue; the victim's queues die with it, so a result
+        it was about to ship can never arrive twice).  Detection latency
+        is bounded by the grace period plus one poll tick — a couple of
+        heartbeat intervals — independent of the much larger pair
+        timeout.
         """
         now = time.monotonic()
         for worker in self.slots:
@@ -588,8 +405,8 @@ class SweepService:
                 self._worker_died(worker, hung=True)
 
     def _worker_died(self, worker: _Worker, *, hung: bool) -> None:
-        """Contain one worker death: kill, requeue its task, heal the
-        domain."""
+        """Contain one worker death: kill, requeue its task, respawn
+        while the pool's budget lasts."""
         key = worker.busy
         worker.busy = None
         worker.deadline = None
@@ -601,22 +418,19 @@ class SweepService:
         self._emit("killed", key=key, slot=worker.slot, hung=hung)
         self._discard_queues(worker)
         if key is not None:
-            holders = self.inflight.get(key)
-            if holders is not None:
-                holders.discard(worker.slot)
-            if key not in self.done and not self.inflight.get(key):
-                if not hung:
-                    self.report.worker_crashes += 1
-                attempt = self.attempts.get(key, 0) + 1
-                self.attempts[key] = attempt
-                if attempt < self.retry.max_attempts:
-                    self._emit("retried", key=key, attempt=attempt)
-                    self._enqueue(key, front=True)
-                else:
-                    self.shelved.add(key)
-                    self._emit("shelved", key=key,
-                               reason="retries-exhausted")
-        self._heal_domain(self._domain(worker.slot))
+            if not hung:
+                self.report.worker_crashes += 1
+            attempt = self.attempts[key]
+            if attempt < self.retry.max_attempts:
+                self._emit("retried", key=key, attempt=attempt)
+                self._requeue(key, front=True)
+            else:
+                self._emit("shelved", key=key, reason="retries-exhausted")
+        if self.rebuilds < self.max_pool_rebuilds:
+            self.rebuilds += 1
+            self.report.pool_rebuilds += 1
+            self._emit("respawned", slot=worker.slot, rebuilds=self.rebuilds)
+            self._spawn(worker)
 
     def _discard_queues(self, worker: _Worker) -> None:
         """Drop a dead worker's private queues (possibly mid-``put``
@@ -631,107 +445,6 @@ class SweepService:
                 pass
         worker.task_q = None
         worker.result_q = None
-
-    def _heal_domain(self, domain: int) -> None:
-        """Rebuild a domain's dead slots, or fence the domain off.
-
-        One crashing worker costs its domain a rebuild — never the whole
-        pool; sibling domains keep streaming results throughout.  A
-        domain past its rebuild budget is marked dead and its queued
-        work redistributed to healthy domains (or the serial tier).
-        """
-        if self.domain_dead[domain]:
-            return
-        members = [w for w in self.slots if self._domain(w.slot) == domain]
-        dead = [w for w in members if w.dead]
-        if not dead:
-            return
-        if self.domain_rebuilds[domain] < self.max_pool_rebuilds:
-            self.domain_rebuilds[domain] += 1
-            self.report.pool_rebuilds += 1
-            self._emit("domain-rebuilt", domain=domain,
-                       rebuilds=self.domain_rebuilds[domain],
-                       slots=[w.slot for w in dead])
-            for worker in dead:
-                self._spawn(worker)
-            return
-        # Fence the domain: its alive slots stop taking new work (only
-        # healthy-domain slots are dispatched to), though tasks already
-        # in flight on them are left to finish — their results count.
-        self.domain_dead[domain] = True
-        self._emit("domain-fenced", domain=domain)
-        orphaned = []
-        for worker in members:
-            orphaned.extend(self.deques[worker.slot])
-            self.deques[worker.slot].clear()
-        for key in orphaned:
-            if key not in self.done and key not in self.shelved:
-                self._enqueue(key)
-
-    # -- hedging --------------------------------------------------------------
-
-    def _hedge_threshold(self) -> float | None:
-        if len(self.durations) < HEDGE_MIN_SAMPLES:
-            return None
-        ordered = sorted(self.durations)
-        index = min(len(ordered) - 1,
-                    int(self.hedge_quantile * len(ordered)))
-        return ordered[index] * HEDGE_MULTIPLIER
-
-    def _maybe_hedge(self) -> None:
-        """Speculatively duplicate stragglers onto idle workers.
-
-        First finisher wins; the loser is discarded by the dedup in
-        :meth:`_complete`.  The ``hedge_race`` chaos site forces an
-        immediate hedge (no quantile, no minimum samples) so the test
-        suite can exercise near-simultaneous twin completions.
-        """
-        threshold = self._hedge_threshold()
-        now = time.monotonic()
-        for worker in self.slots:
-            key = worker.busy
-            if key is None or worker.dead or key in self.hedged \
-                    or key in self.done:
-                continue
-            elapsed = now - worker.started
-            forced = faults.should_fire("hedge_race")
-            if not forced and (threshold is None or elapsed < threshold):
-                continue
-            twin = next((w for w in self._healthy_slots()
-                         if w.idle and not self.deques[w.slot]), None)
-            if twin is None:
-                return
-            self.hedged.add(key)
-            self.report.hedges += 1
-            self._emit("hedged", key=key, slot=twin.slot, forced=forced)
-            obs_trace.instant("hedge", cat="sched", key=key,
-                              slot=twin.slot)
-            task = self.by_key[key]
-            self.seq[key] = self.seq.get(key, 0) + 1
-            try:
-                twin.task_q.put((key, task.kind, task.payload,
-                                 self.seq[key]), timeout=self.heartbeat)
-            except (queue_mod.Full, ValueError, OSError):
-                self._worker_died(twin, hung=True)
-                continue
-            twin.busy = key
-            twin.started = now
-            twin.deadline = (now + self.pair_timeout
-                             if self.pair_timeout is not None else None)
-            twin.attempt = self.seq[key]
-            twin.trace_started = (obs_trace.now() if obs_core.ENABLED
-                                  else 0.0)
-            self.inflight.setdefault(key, set()).add(twin.slot)
-
-    # -- loop bookkeeping ------------------------------------------------------
-
-    def _live_work_remains(self) -> bool:
-        if self.backlog:
-            return True
-        if any(slots for slots in self.inflight.values()):
-            return True
-        return any(key not in self.done and key not in self.shelved
-                   for d in self.deques for key in d)
 
     def _shutdown(self, *, graceful: bool) -> None:
         """Stop every worker; never blocks unboundedly.
@@ -760,29 +473,36 @@ class SweepService:
             self._discard_queues(worker)
             worker.process = None
 
-    # -- serial tier ----------------------------------------------------------
+    # -- in-process tier ------------------------------------------------------
 
-    def _run_serial_tier(self) -> None:
+    def _run_in_process(self, *, degraded: bool) -> None:
         """Finish every unfinished task in-process, in submission order.
 
-        The tier of last resort: no pool, no queues, nothing left to
-        break.  Each task counts one ``serial_degradation`` — the
-        signal that the parallel tiers gave up on it.
+        The tier of last resort: no processes, no queues, nothing left
+        to break.  After a supervised tier (``degraded``) each task it
+        runs counts one ``serial_degradation`` — the signal that the
+        workers gave up on it; a one-worker sweep runs here from the
+        start and counts none.
         """
-        for task in self.tasks:
-            if task.key in self.done:
-                continue
-            self.report.serial_degradations += 1
-            self._emit("serial", key=task.key)
+        self.pending = collections.deque(
+            task.key for task in self.tasks if task.key not in self.done)
+        while self.pending:
+            key = self.pending.popleft()
+            task = self.by_key[key]
+            if degraded:
+                self.report.serial_degradations += 1
+                self._emit("serial", key=key)
+            else:
+                self._emit("started", key=key, slot=None, attempt=1)
             try:
                 entries = self.serial_fn(task)
             except (PageFault, ProtectionFault) as exc:
-                self.done.add(task.key)
-                self._emit("quarantined", key=task.key, slot=None,
+                self.done.add(key)
+                self._emit("quarantined", key=key, slot=None,
                            error=type(exc).__name__)
                 self.on_violation(task, exc)
                 continue
-            self.done.add(task.key)
-            self._emit("completed", key=task.key, slot=None,
-                       attempt=None, duration=None, tier="serial")
+            self.done.add(key)
+            self._emit("completed", key=key, slot=None, attempt=None,
+                       duration=None)
             self.on_done(task, entries)

@@ -25,8 +25,7 @@ attempt, reset observability, execute, ship
 ``{"key", "attempt", "entries"|"error", "report", "obs"}`` back on the
 slot's private result queue.  Chaos hooks for ``worker_exit`` /
 ``worker_hang`` / ``worker_crash`` / ``heartbeat_loss`` live at the top
-of the task loop, exactly where the pool-based ``_pair_worker`` had
-them, so the existing chaos suites keep their semantics.
+of the task loop.
 """
 
 from __future__ import annotations
@@ -49,17 +48,13 @@ from repro.common.errors import (PageFault, ProtectionFault, TransientError,
 class TaskSpec:
     """One schedulable unit of sweep work.
 
-    ``key`` is the task's identity for journaling, dedup and resume
-    (``workload/dataset`` for pairs, ``fuzz/seed<N>`` for fuzz seeds);
-    ``shard`` is a locality hint — tasks sharing a shard are assigned to
-    the same worker's deque so its memmapped traces and graph surrogates
-    stay warm (a stolen task merely loses the warmth, never the result).
+    ``key`` is the task's identity for journaling and resume
+    (``workload/dataset`` for pairs, ``fuzz/seed<N>`` for fuzz seeds).
     """
 
     key: str
     kind: str
     payload: dict = field(default_factory=dict)
-    shard: str = ""
 
 
 # -- executors ----------------------------------------------------------------
@@ -102,8 +97,8 @@ def _execute_probe(runner_spec: dict, payload: dict) -> tuple[list, dict]:
     Computes a pure function of the probe's seed (a seeded LCG mixing
     loop) so a 200-task sweep costs milliseconds yet any lost,
     duplicated, reordered, or double-counted task changes the merged
-    output.  ``spin`` adds bounded busy work to give the supervisor
-    realistic in-flight durations to hedge against.
+    output.  ``spin`` adds bounded busy work so a task can outlive the
+    supervisor's liveness grace.
     """
     seed = int(payload.get("seed", 0))
     spin = int(payload.get("spin", 0))
@@ -132,8 +127,7 @@ def _sweep_worker_main(slot: int, task_q, result_q, beats,
     The fault spec is configured explicitly from shipped arguments (not
     inherited fork state) so spawn-style contexts and chaos determinism
     agree; each task then re-keys the injector with its
-    ``key#a<attempt>`` scope exactly like the pool-based worker did, so
-    fault patterns are a pure function of (seed, task, attempt), never
+    ``key#a<attempt>`` scope, so fault patterns are a pure function of (seed, task, attempt), never
     of which worker slot the task landed in.
 
     Every task ships its own observability payload and worker-side
@@ -181,8 +175,8 @@ def _sweep_worker_main(slot: int, task_q, result_q, beats,
                 pulse.resume()
             if faults.should_fire("heartbeat_loss"):
                 # Telemetry dies but the work continues: the supervisor
-                # will kill and requeue, possibly racing this task's own
-                # completion — content-key dedup keeps exactly one.
+                # will kill and requeue, and this attempt's result dies
+                # with the worker's private queues.
                 pulse.suppress()
             faults.maybe_raise(
                 "worker_crash",

@@ -1,34 +1,29 @@
-"""Zero-copy symbolic-trace sharing for pool workers.
+"""The persisted symbolic trace: a memmapped column store.
 
 The functional half of a run — executing a workload on the accelerator
 model — produces a :class:`~repro.accel.trace.SymbolicTrace` of three
-numpy columns that every timing configuration then consumes.  PR 1
-cached it as compressed ``.npz``, which is the right *archival* format
-but the wrong *sharing* format: every pool worker that loads it inflates
-a private copy of all three columns, so an N-worker sweep holds N copies
-of a multi-million-access trace in anonymous memory.
-
-This store publishes the same trace as a directory of raw uncompressed
-``.npy`` files::
+numpy columns that every timing configuration then consumes.  With a
+cache directory, this store is the only place the runner persists it:
+a directory of raw uncompressed ``.npy`` files::
 
     trace-<key>.mm/
         streams.npy      offsets.npy      writes.npy
         streams.npy.sha256   ...                      (integrity sidecars)
 
-Workers open the columns with ``np.load(..., mmap_mode="r")``: the pages
-are file-backed and read-only, so all workers on a host share one
+Readers open the columns with ``np.load(..., mmap_mode="r")``: the pages
+are file-backed and read-only, so all sweep workers on a host share one
 physical copy under the page cache, exactly like the paper's shared
-page-cache argument for devirtualized buffers — zero-copy across the
-pool, and the columns never materialize at all for accesses the timing
-model skips.  The mapped arrays are read-only; code that tried to
+page-cache argument for devirtualized buffers — zero-copy across
+processes, and nothing is decompressed on either side.  The mapped arrays are read-only; code that tried to
 mutate a shared trace would fault immediately rather than corrupt a
 neighbor's run.
 
 Integrity follows the repo's sidecar discipline: each column is hashed,
 publication is tmp + ``os.replace`` per file with a final ``.ok`` marker
 making the directory's completeness atomic, and any mismatch quarantines
-the whole directory for recomputation.  The ``.npz`` remains the
-portable fallback (``REPRO_SWEEP_MEMMAP=0`` disables the memmap tier).
+the whole directory for recomputation.  (``SymbolicTrace.save``/``load``
+still write and read a portable compressed ``.npz`` for callers that
+want one file; the runner does not use it.)
 """
 
 from __future__ import annotations
@@ -82,8 +77,7 @@ def open_trace(path: Path, *, verify: bool = True) -> SymbolicTrace:
 
     Raises :class:`CacheIntegrityError` for an incomplete directory, a
     missing column, a sidecar mismatch, or an undecodable file — the
-    caller quarantines and falls back to recomputation (or the ``.npz``
-    tier), never crashes.
+    caller quarantines and recomputes, never crashes.
     """
     if not is_published(path):
         raise CacheIntegrityError(f"incomplete trace store {path}")

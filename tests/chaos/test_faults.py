@@ -123,6 +123,23 @@ class TestModuleState:
         with pytest.raises(ValueError):
             faults.maybe_raise("worker_crash", lambda: ValueError("boom"))
 
+    @pytest.mark.parametrize("spec", [
+        "perm_fault:1.0:1",
+        "worker_crash:0.05:4,scheduler_stall:0.3333333333333333",
+        "alloc_oom:0.123456789,page_fault:0:0,checkpoint_torn:1e-07",
+    ])
+    def test_active_spec_round_trips(self, spec):
+        faults.configure(spec, seed=42)
+        rendered, seed = faults.active_spec()
+        assert seed == 42
+        assert parse_spec(rendered) == parse_spec(spec)
+
+    def test_active_spec_short_form_and_absent(self):
+        faults.configure("perm_fault:1.0:1", seed=3)
+        assert faults.active_spec() == ("perm_fault:1:1", 3)
+        faults.configure(None)
+        assert faults.active_spec() == (None, 0)
+
     def test_perturbation_tracking(self):
         faults.configure("alloc_oom:1.0,worker_crash:1.0", seed=0)
         mark = faults.perturbation_mark()

@@ -3,19 +3,17 @@
 Two scales: 220-probe sweeps hammer the scheduler itself (kills, races,
 stalls, torn journal appends) against an exactly-computable expectation,
 and bench-profile pair sweeps prove the same invariants — torn-tail
-resume, hedged-duplicate dedup — hold on the real ``run_pairs`` path
-with its cache, journal and observability wiring.
+resume, a parallel abort resumed serially — hold on the real
+``run_pairs`` path with its cache and journal wiring.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import obs
 from repro.common import faults
 from repro.common.errors import InjectedFault
 from repro.core.config import HardwareScale
-from repro.obs import core as obs_core
 from repro.sim.resilience import ResilienceReport, RetryPolicy
 from repro.sim.runner import ExperimentRunner
 from repro.sweep.cli import merged_digest, run_probe_sweep
@@ -33,8 +31,6 @@ SCHEDULER_SITES = [
     "worker_exit:0.02:2",
     "worker_crash:0.05:4",
     "scheduler_stall:0.01:2",
-    "steal_race:0.5:4",
-    "hedge_race:0.05:3",
 ]
 
 
@@ -119,42 +115,21 @@ class TestRunnerTornCheckpoint:
         assert fresh.resilience.resumed_pairs == 1
 
 
-class TestHedgedDuplicates:
-    @pytest.fixture
-    def obs_enabled(self, monkeypatch, tmp_path):
-        saved_enabled = obs_core.ENABLED
-        saved_override = obs_core._out_dir_override
-        monkeypatch.setenv(obs_core.OBS_ENV_VAR, "1")
-        monkeypatch.setenv(obs_core.OBS_DIR_ENV_VAR, str(tmp_path / "obs"))
-        obs_core.refresh_from_env()
-        obs.reset()
-        yield
-        obs_core.ENABLED = saved_enabled
-        obs_core._out_dir_override = saved_override
-        obs.reset()
-
-    def test_hedge_losers_never_double_count(self, tmp_path, monkeypatch,
-                                             obs_enabled, bench_baseline):
-        """The loser of every hedge race is discarded *wholesale*: its
-        metrics, resilience counters and obs events must all vanish."""
-        metrics_want, misses_want = bench_baseline
-        # Hang latency is someone else's test: run the liveness grace at
-        # its default so a stray GIL-held pause (one big allocation, a
-        # gen-0 sweep) can't kill a healthy worker mid-hedge.
-        monkeypatch.setenv("REPRO_SWEEP_HEARTBEAT", "0.25")
-        faults.configure("hedge_race:1.0", seed=3)
-        runner = bench_runner(cache_dir=str(tmp_path / "cache"))
-        out = runner.run_pairs(pairs=PAIRS, workers=2)
+class TestAbortAcrossWorkerCounts:
+    def test_parallel_abort_resumes_serially_bit_identically(
+            self, tmp_path, bench_baseline):
+        """A ``workers=2`` sweep killed by ``sweep_abort`` after
+        journaling some pairs resumes from that journal under
+        ``workers=1``: the journal, not the worker count, carries the
+        sweep, and both tiers merge to the same bits."""
+        metrics_want, _misses = bench_baseline
+        faults.configure("sweep_abort:1.0:1", seed=0)
+        crashed = bench_runner(cache_dir=str(tmp_path))
+        with pytest.raises(InjectedFault):
+            crashed.run_pairs(pairs=PAIRS, workers=2)
+        faults.reset()
+        fresh = bench_runner(cache_dir=str(tmp_path))
+        out = fresh.run_pairs(pairs=PAIRS, workers=1)
         assert {k: m.to_dict() for k, m in out.items()} == metrics_want
-        report = runner.resilience
-        assert report.hedges >= 1
-        assert report.duplicate_results >= 1
-        # A double-folded duplicate payload would inflate the fold past
-        # the cold-cache reference (a hedge twin that *wins* can only
-        # deflate it, via warm hits on artifacts the loser published).
-        assert report.cache_misses <= misses_want
-        # Exactly one "pair" span per pair survives into the merged
-        # trace — hedge losers' shipped events were dropped unabsorbed.
-        events = obs.snapshot()["events"]
-        pair_events = [e for e in events if e.get("name") == "pair"]
-        assert len(pair_events) == len(PAIRS)
+        assert fresh.resilience.resumed_pairs == 1
+        assert fresh.resilience.serial_degradations == 0

@@ -115,7 +115,7 @@ class TestBitIdentical:
         records = obs_bus.read_events(tmp_path / obs_bus.BUS_FILENAME)
         kinds = [r["kind"] for r in records]
         assert kinds[0] == "sweep-begin" and kinds[-1] == "sweep-end"
-        for kind in ("admitted", "started", "completed"):
+        for kind in ("started", "completed"):
             assert kind in kinds
         assert len({r["run_id"] for r in records}) == 1
 

@@ -64,10 +64,9 @@ class TestHeartbeat:
                        log_dir=tmp_path)
         clock.now += 10
         line = hb.update(5, cache_hits=42, cache_misses=7, retries=1,
-                         faults=3, queue_depth=9, steals=2, hedges=1)
+                         faults=3, queue_depth=9)
         assert line == ("[obs] sweep 5/15 pairs | cache 42h/7m | retries 1"
-                        " | faults 3 | q 9 | steals 2 | hedges 1"
-                        " | elapsed 10s | eta 20s")
+                        " | faults 3 | q 9 | elapsed 10s | eta 20s")
 
     def test_log_rotation(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_OBS_HEARTBEAT_MAX_BYTES", "4096")

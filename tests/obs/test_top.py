@@ -10,21 +10,14 @@ def _events():
     return [
         {"kind": "sweep-begin", "run_id": "run1", "tasks": 4, "workers": 2,
          "slots": 2, "t": 100.0},
-        {"kind": "admitted", "key": "a/0", "slot": 0, "shard": "s0",
-         "t": 100.1},
-        {"kind": "admitted", "key": "a/1", "slot": 0, "shard": "s0",
-         "t": 100.1},
-        {"kind": "admitted", "key": "b/0", "slot": 1, "shard": "s1",
-         "t": 100.1},
         {"kind": "started", "key": "a/0", "slot": 0, "attempt": 1,
-         "stolen": False, "t": 100.2},
-        {"kind": "stolen", "key": "b/0", "slot": 1, "t": 100.2},
+         "t": 100.2},
         {"kind": "started", "key": "b/0", "slot": 1, "attempt": 1,
-         "stolen": True, "t": 100.3},
+         "t": 100.3},
         {"kind": "completed", "key": "a/0", "slot": 0, "attempt": 1,
          "duration": 0.8, "t": 101.0},
-        {"kind": "tick", "resident": 2, "backlog": 1, "done": 1,
-         "idle": 1, "dead": 0, "t": 101.0},
+        {"kind": "tick", "pending": 1, "done": 1, "idle": 1, "dead": 0,
+         "t": 101.0},
         {"kind": "beat-stale", "key": "b/0", "slot": 1, "hung": True,
          "latency": 0.7, "t": 101.0},
         {"kind": "killed", "key": "b/0", "slot": 1, "hung": True,
@@ -41,15 +34,12 @@ class TestTopModel:
         assert model.run_id == "run1"
         assert model.tasks == 4
         assert model.done == 2
-        assert model.backlog == 1
-        assert model.counts["stolen"] == 1
+        assert model.pending == 1
+        assert model.counts["started"] == 2
         assert model.counts["killed"] == 1
         assert model.counts["retried"] == 1
         assert model.workers[0]["state"] == "idle"
         assert model.workers[1]["state"] == "dead"
-        # a/1 admitted to shard s0 and never started: still queued.
-        assert model.queue_depth["s0"] == 1
-        assert model.queue_depth["s1"] == 0
 
     def test_throughput_and_eta(self):
         model = top.TopModel.fold(_events())
@@ -63,18 +53,18 @@ class TestTopModel:
         frame = top.TopModel.fold(_events()).render()
         assert "2/4 tasks" in frame
         assert "run1" in frame
-        assert "steals 1" in frame
+        assert "retries 1" in frame
         assert "kills 1" in frame
-        assert "backlog 1" in frame
+        assert "pending 1" in frame
         assert "1:dead" in frame
 
-    def test_domain_rebuild_revives_slots(self):
+    def test_respawn_revives_slot(self):
         events = _events() + [
-            {"kind": "domain-rebuilt", "domain": 0, "rebuilds": 1,
-             "slots": [1], "t": 102.5},
+            {"kind": "respawned", "slot": 1, "rebuilds": 1, "t": 102.5},
         ]
         model = top.TopModel.fold(events)
         assert model.workers[1]["state"] == "idle"
+        assert model.counts["respawned"] == 1
 
     def test_sweep_end_finishes(self):
         events = _events() + [
@@ -92,9 +82,9 @@ class TestPrometheus:
         assert text.endswith("\n")
         assert "repro_sweep_tasks_total 4" in text
         assert "repro_sweep_done_total 2" in text
-        assert 'repro_sweep_events_total{kind="stolen"} 1' in text
+        assert 'repro_sweep_events_total{kind="killed"} 1' in text
         assert 'repro_sweep_workers{state="dead"} 1' in text
-        assert 'repro_sweep_queue_depth{shard="s0"} 1' in text
+        assert "repro_sweep_pending 1" in text
         # Every non-comment line is `name{labels} value` or `name value`.
         for line in text.splitlines():
             if line.startswith("#"):

@@ -24,6 +24,20 @@ class TestRunPairs:
     def test_covers_all_configs(self, serial_metrics):
         assert len(serial_metrics) == len(PAIRS) * 7
 
+    def test_one_and_two_workers_bit_identical(self, serial_metrics):
+        # Both worker counts run through the sweep service: one worker
+        # as its in-process tier (no degradation counted), two as
+        # supervised worker processes.
+        one = bench_runner()
+        serial = one.run_pairs(pairs=PAIRS, workers=1)
+        parallel = bench_runner().run_pairs(pairs=PAIRS, workers=2)
+        assert {k: m.to_dict() for k, m in serial.items()} \
+            == {k: m.to_dict() for k, m in parallel.items()} \
+            == {k: m.to_dict() for k, m in serial_metrics.items()}
+        assert list(serial) == list(parallel)
+        assert one.resilience.serial_degradations == 0
+        assert one.resilience.events() == 0
+
     def test_workers_match_serial(self, serial_metrics):
         parallel = bench_runner().run_pairs(pairs=PAIRS, workers=2)
         assert list(parallel) == list(serial_metrics)
@@ -51,15 +65,16 @@ class TestDiskCache:
         first = bench_runner(cache_dir=str(tmp_path)).run_pairs(pairs=PAIRS)
         # Artifacts land in two-hex-char shard subdirectories.
         names = sorted(p.name for p in tmp_path.rglob("*") if p.is_file())
-        assert sum(n.startswith("trace-") and n.endswith(".npz")
-                   for n in names) == len(PAIRS)
-        # every binary trace carries a checksum sidecar
-        assert sum(n.startswith("trace-") and n.endswith(".npz.sha256")
-                   for n in names) == len(PAIRS)
         assert sum(n.startswith("metrics-") for n in names) == len(PAIRS) * 7
-        # plus the published memmapped column store per trace
+        # the memmapped column store is the only persisted trace
         stores = [p for p in tmp_path.rglob("trace-*.mm") if p.is_dir()]
         assert len(stores) == len(PAIRS)
+        assert not any(".npz" in n for n in names)
+        # every column carries a checksum sidecar
+        for store in stores:
+            assert sorted(p.name for p in store.glob("*.sha256")) == [
+                "offsets.npy.sha256", "streams.npy.sha256",
+                "writes.npy.sha256"]
         # a completed sweep leaves no checkpoint journal behind (the
         # journal and its .gen fence live flat at the cache root)
         assert not any(n.startswith("sweep-") for n in names)

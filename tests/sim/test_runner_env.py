@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+from repro.common.errors import ConfigError
 from repro.core.config import HardwareScale
 from repro.sim.runner import (CACHE_DIR_ENV_VAR, PAIR_TIMEOUT_ENV_VAR,
                               WORKERS_ENV_VAR, ExperimentRunner,
@@ -37,11 +42,25 @@ class TestWorkersFromEnv:
         monkeypatch.setenv(WORKERS_ENV_VAR, "8")
         assert workers_from_env() == 8
 
-    @pytest.mark.parametrize("raw", ["four", "2.5", " "])
+    @pytest.mark.parametrize("raw", ["four", "2.5", " ", "abc"])
     def test_non_integer_exits_with_message(self, raw, monkeypatch):
+        # Library code raises ConfigError; the CLI boundary turns it
+        # into the message and exit code (see the test below).
         monkeypatch.setenv(WORKERS_ENV_VAR, raw)
-        with pytest.raises(SystemExit, match=WORKERS_ENV_VAR):
+        with pytest.raises(ConfigError, match=WORKERS_ENV_VAR):
             workers_from_env()
+
+    def test_cli_turns_bad_count_into_exit_2(self):
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"),
+                   **{WORKERS_ENV_VAR: "abc"})
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "figure8", "--bench"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 2
+        assert f"error: {WORKERS_ENV_VAR} must be an integer" \
+            in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestPairTimeoutFromEnv:
@@ -63,7 +82,7 @@ class TestPairTimeoutFromEnv:
 
     def test_non_numeric_exits_with_message(self, monkeypatch):
         monkeypatch.setenv(PAIR_TIMEOUT_ENV_VAR, "soon")
-        with pytest.raises(SystemExit, match=PAIR_TIMEOUT_ENV_VAR):
+        with pytest.raises(ConfigError, match=PAIR_TIMEOUT_ENV_VAR):
             pair_timeout_from_env()
 
 

@@ -1,4 +1,4 @@
-"""SweepService scheduling semantics: stealing, hedging, domains, dedup.
+"""SweepService scheduling semantics: FIFO dispatch, grace, respawns.
 
 Probe tasks (a pure function of their seed) make every property
 checkable against an exactly-computable expectation: any lost,
@@ -7,7 +7,6 @@ duplicated, or double-counted task changes the merged result.
 
 from __future__ import annotations
 
-import collections
 import time
 
 import pytest
@@ -25,10 +24,9 @@ def fast_heartbeat(monkeypatch):
     monkeypatch.setenv("REPRO_SWEEP_HEARTBEAT", "0.05")
 
 
-def probe_tasks(count: int, spin: int = 200, shard: str | None = None):
+def probe_tasks(count: int, spin: int = 200):
     return [TaskSpec(key=f"probe/{seed}", kind="probe",
-                     payload=dict(seed=seed, spin=spin),
-                     shard=shard if shard is not None else str(seed % 8))
+                     payload=dict(seed=seed, spin=spin))
             for seed in range(count)]
 
 
@@ -79,48 +77,14 @@ class TestScheduling:
         assert len(harness.absorbed) == len(set(harness.absorbed))
 
     def test_single_worker_goes_straight_to_serial_tier(self):
+        # One worker is the in-process tier from the start: every task
+        # runs in submission order and none counts as a degradation.
         harness = Harness(probe_tasks(5), workers=1)
         assert harness.run() == expected(5)
-        assert harness.report.serial_degradations == 5
-        assert harness.report.steals == 0
-
-    def test_hot_shard_is_stolen(self):
-        # Every task shares one shard, so affinity queues them all on a
-        # single slot; the other three workers can only make progress by
-        # stealing — and the merged result must not care.
-        harness = Harness(probe_tasks(12, spin=200_000, shard="hot"),
-                          workers=4)
-        assert harness.run() == expected(12, spin=200_000)
-        assert harness.report.steals > 0
-
-    def test_backpressure_bound_respected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_QUEUE_BOUND", "2")
-        harness = Harness(probe_tasks(40), workers=3)
-        assert harness.service.queue_bound == 2
-        assert harness.run() == expected(40)
-
-
-class TestHedging:
-    def test_forced_hedge_first_finisher_wins(self):
-        # One straggler among cheap tasks: the worker that clears the
-        # fast ones goes idle while the other is stuck, which is the
-        # only state a hedge twin can be dispatched from.
-        faults.configure("hedge_race:1.0", seed=1)
-        tasks = [TaskSpec(key="probe/0", kind="probe",
-                          payload=dict(seed=0, spin=3_000_000), shard="0")]
-        tasks += [TaskSpec(key=f"probe/{seed}", kind="probe",
-                           payload=dict(seed=seed, spin=1_000),
-                           shard=str(seed))
-                  for seed in range(1, 6)]
-        want = {t.key: _execute_probe({}, t.payload)[0] for t in tasks}
-        harness = Harness(tasks, workers=2)
-        assert harness.run() == want
-        assert harness.report.hedges >= 1
-        # The hedge loser's payload drained and was discarded wholesale:
-        # counted as a duplicate, never absorbed, never re-completed.
-        assert harness.report.duplicate_results >= 1
-        assert len(harness.absorbed) == len(set(harness.absorbed))
-        assert sorted(harness.done_keys) == sorted(want)
+        assert harness.done_keys == [f"probe/{seed}" for seed in range(5)]
+        assert harness.absorbed == []
+        assert harness.report.serial_degradations == 0
+        assert harness.report.events() == 0
 
 
 class _StubProcess:
@@ -153,10 +117,6 @@ class TestStartupGrace:
         monkeypatch.setattr(svc, "_spawn", lambda worker: None)
         svc.beats = [0.0, 0.0]
         svc.slots = [_Worker(slot=0), _Worker(slot=1)]
-        svc.deques = [collections.deque(), collections.deque()]
-        svc.domain_rebuilds = [0]
-        svc.domain_dead = [False]
-        svc.backlog = collections.deque()
         now = time.monotonic()
         for worker in svc.slots:
             worker.process = _StubProcess()
@@ -165,7 +125,8 @@ class TestStartupGrace:
         busy.busy = "probe/0"
         busy.started = now - spawned_ago
         svc.beats[0] = beat
-        svc.inflight["probe/0"] = {0}
+        svc.pending.remove("probe/0")
+        svc.attempts["probe/0"] = 1
         return svc
 
     def test_booting_worker_outlives_the_beat_grace(self, monkeypatch):
@@ -194,15 +155,24 @@ class TestStartupGrace:
         assert svc.report.hung_workers == 1
 
 
-class TestFailureDomains:
-    def test_exhausted_domains_degrade_to_serial(self, monkeypatch):
-        # Domain size 1 + every dispatch killing its worker: each of the
-        # two single-slot domains burns its one rebuild, the supervised
-        # tier fences both domains, and the serial tier (which cannot
-        # break) finishes the whole sweep bit-identically.
-        monkeypatch.setenv("REPRO_SWEEP_DOMAIN", "1")
+class TestRespawnBudget:
+    def test_exhausted_respawn_budget_degrades_to_serial(self):
+        # Every dispatch kills its worker: the pool spends its two
+        # respawns, every slot ends dead, and the in-process tier (which
+        # cannot break) finishes the whole sweep bit-identically.
         faults.configure("worker_exit:1.0", seed=0)
-        harness = Harness(probe_tasks(8), workers=2, max_pool_rebuilds=1)
+        harness = Harness(probe_tasks(8), workers=2, max_pool_rebuilds=2)
         assert harness.run() == expected(8)
         assert harness.report.pool_rebuilds == 2
         assert harness.report.serial_degradations == 8
+
+    def test_respawned_worker_resumes_fifo_dispatch(self):
+        # Seed 1 kills exactly two attempts and no task runs out of
+        # attempts: two respawns from the budget, and the workers finish
+        # everything — nothing reaches the in-process tier.
+        faults.configure("worker_exit:0.3", seed=1)
+        harness = Harness(probe_tasks(6), workers=2, max_pool_rebuilds=8)
+        assert harness.run() == expected(6)
+        assert harness.report.pool_rebuilds >= 2
+        assert harness.report.serial_degradations == 0
+        assert sorted(harness.absorbed) == sorted(expected(6))
